@@ -10,7 +10,7 @@ GO ?= go
 # engine under the race detector.
 RACE_WORKERS ?= 4
 
-.PHONY: ci vet staticcheck build test race race-parallel race-service bench-quick bench-incremental bench-trace bench-bdd bench-store bench-workers bench-delta bench-memwatermark bench-reorder store-check gate-check trace-check reorder-check alloc-guard
+.PHONY: ci vet staticcheck build test race race-parallel race-service trace-overhead bench-memwatermark bench-reorder store-check gate-check trace-check reorder-check alloc-guard
 
 ci: vet staticcheck build race race-parallel store-check gate-check trace-check reorder-check alloc-guard
 
@@ -51,51 +51,6 @@ race-parallel:
 race-service:
 	$(GO) test -race ./internal/service/...
 
-# Quick benchmark of the end-to-end pipeline across worker counts; full
-# sweeps are cmd/expresso-bench. Recorded numbers: BENCH_pr2.json.
-bench-quick:
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1' -benchmem -benchtime=3x
-
-# Cold-vs-warm incremental verification on region 1: BenchmarkVerifyRegion1
-# is the cold baseline (full Load+SRC per op), BenchmarkVerifyRegion1WarmDelta
-# re-verifies a one-router delta warm-started from the cached fixed point.
-# Records both into BENCH_pr3.json.
-bench-incremental:
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1$$|BenchmarkVerifyRegion1Warm(Delta|Local)$$' \
-		-benchmem -benchtime=3x | tee /tmp/bench_incremental.out
-	awk -f scripts/bench_incremental.awk /tmp/bench_incremental.out > BENCH_pr3.json
-	@cat BENCH_pr3.json
-
-# Tracing cost on region 1: BenchmarkVerifyRegion1 is the nil-tracer
-# baseline, BenchmarkVerifyRegion1Traced attaches a run-scoped tracer
-# (per-round EPVP snapshots, SPF events). Each benchmark runs in its own
-# process — back to back in one `go test` the second inherits the first's
-# grown heap and pays its GC debt, which dwarfs the tracing delta being
-# measured. Records both into BENCH_pr4.json, then runs the tier-2
-# overhead assertion (<5%, see TestTraceOverhead).
-bench-trace:
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1$$' \
-		-benchmem -benchtime=5x | tee /tmp/bench_trace.out
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1Traced$$' \
-		-benchmem -benchtime=5x | tee -a /tmp/bench_trace.out
-	awk -f scripts/bench_trace.awk /tmp/bench_trace.out > BENCH_pr4.json
-	@cat BENCH_pr4.json
-	EXPRESSO_TRACE_OVERHEAD=1 $(GO) test . -run TestTraceOverhead -count=1 -v -timeout 30m
-
-# BDD microbenchmarks of the PR-5 hot-path overhaul: specialized apply
-# kernels vs the generic ITE entry point, complement-edge negation chains,
-# and the dead-node sweep pause — plus the region-1 end-to-end run they
-# add up to. Records everything into BENCH_pr5.json against the PR-4
-# region-1 baseline baked into scripts/bench_bdd.awk.
-bench-bdd:
-	$(GO) test ./internal/bdd/ -run XXX \
-		-bench 'BenchmarkApplyKernels$$|BenchmarkApplyViaITE$$|BenchmarkNegationChain$$|BenchmarkITEChain$$|BenchmarkReclaim$$' \
-		-benchmem -benchtime=2000x | tee /tmp/bench_bdd.out
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1$$' \
-		-benchmem -benchtime=5x | tee -a /tmp/bench_bdd.out
-	awk -f scripts/bench_bdd.awk /tmp/bench_bdd.out > BENCH_pr5.json
-	@cat BENCH_pr5.json
-
 # Artifact-store gate: the disk-warm determinism matrix (byte-identical
 # reports across fixtures, worker counts, and forced reclamation sweeps),
 # the shared-directory replica scenario, corruption/version-mismatch
@@ -105,36 +60,12 @@ store-check:
 	$(GO) test . -run 'TestStore' -count=1 -timeout 15m
 	$(GO) test -count=1 ./internal/store/ ./internal/bdd/ ./internal/automaton/
 
-# Store pricing on region 1: scratch pipeline vs a cold process
-# deserializing every stage from a populated store directory vs the
-# in-memory cache ceiling.
-bench-store:
-	$(GO) test . -run XXX -bench 'BenchmarkStoreRegion1(Cold|DiskWarm|MemWarm)$$' \
-		-benchmem -benchtime=3x | tee /tmp/bench_store.out
-	awk -v cores=$$(nproc) -f scripts/bench_store.awk /tmp/bench_store.out
-
-# The PR-6 recorded numbers: the region-1 engine worker sweep (workers
-# 1, 2, 4) plus the store cold/disk-warm/mem-warm trio, into
-# BENCH_pr6.json. The environment note records the core count — on a
-# single-core box the sweep prices coordination overhead, not speedup.
-bench-workers:
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1Parallel$$' \
-		-benchmem -benchtime=3x | tee /tmp/bench_pr6.out
-	$(GO) test . -run XXX -bench 'BenchmarkStoreRegion1(Cold|DiskWarm|MemWarm)$$' \
-		-benchmem -benchtime=3x | tee -a /tmp/bench_pr6.out
-	awk -v cores=$$(nproc) -f scripts/bench_store.awk /tmp/bench_pr6.out > BENCH_pr6.json
-	@cat BENCH_pr6.json
-
-# The PR-8 recorded numbers: the cold region-1 run vs the baseline-delta
-# path (a one-router patch verified against a registered, pinned
-# baseline) vs a burst of 8 superseding deltas absorbed by the coalescing
-# queue. Records all three into BENCH_pr8.json; the delta path must come
-# out well ahead of cold (the acceptance bar is 2x).
-bench-delta:
-	$(GO) test . -run XXX -bench 'BenchmarkVerifyRegion1$$|BenchmarkDeltaRegion1(Baseline|CoalescedBurst)$$' \
-		-benchmem -benchtime=3x | tee /tmp/bench_delta.out
-	awk -f scripts/bench_delta.awk /tmp/bench_delta.out > BENCH_pr8.json
-	@cat BENCH_pr8.json
+# Tracing cost on region 1: the tier-2 overhead assertion (traced vs
+# untraced verifications, min-of-3 interleaved, < 5%). The test skips
+# itself without the env knob because it is timing-sensitive. Layered
+# performance numbers come from perfbench (see perfbench/README.md).
+trace-overhead:
+	EXPRESSO_TRACE_OVERHEAD=1 $(GO) test . -run TestTraceOverhead -count=1 -v -timeout 30m
 
 # CI gate semantics: `expresso gate` exit codes (no change and fixed
 # violations pass, new violations fail) plus the baseline/delta
@@ -152,11 +83,12 @@ trace-check:
 
 # Dynamic-reordering gate: the forced-sifting determinism matrix (byte-
 # identical reports across worker counts, reclamation schedules, and a
-# disk-warm restart), the static-order testnet assertion, and the sifting
-# engine's unit suite (swap canonicity, order-independent fingerprints,
-# cross-order serialization).
+# disk-warm restart), concurrent deltas against one baseline under forced
+# sifting and sweeping, the static-order testnet assertion, and the
+# sifting engine's unit suite (swap canonicity, order-independent
+# fingerprints, cross-order serialization).
 reorder-check:
-	$(GO) test . -run 'TestReorderDeterminismMatrix|TestReorderDiskWarmByteIdentical' -count=1 -timeout 15m
+	$(GO) test . -run 'TestReorderDeterminismMatrix|TestReorderDiskWarmByteIdentical|TestReorderConcurrentBaselineDeltas' -count=1 -timeout 15m
 	$(GO) test ./internal/epvp/ -run 'TestInterleavedOrderShrinksTestnet' -count=1
 	$(GO) test -count=1 ./internal/bdd/
 

@@ -80,11 +80,7 @@ func (v *Verifier) RegisterBaseline(ctx context.Context, name, configText string
 		return nil, nil, err
 	}
 	runner := &pipeline.Runner{Cache: v.cache, Store: v.store, Baselines: v.baselines}
-	req := opts.request(load)
-	if req.GC == GCAuto {
-		req.GC = v.gc
-	}
-	out, err := runner.Run(ctx, req)
+	out, err := runner.Run(ctx, opts.request(load))
 	if err != nil {
 		return nil, nil, err
 	}

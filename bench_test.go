@@ -127,9 +127,8 @@ func BenchmarkVerifyRegion1(b *testing.B) {
 }
 
 // BenchmarkVerifyRegion1Traced is BenchmarkVerifyRegion1 with a run-scoped
-// tracer attached, so `make bench-trace` can price the enabled tracing
-// path (per-round EPVP snapshots, SPF events) against the nil-tracer
-// baseline. The two are recorded side by side in BENCH_pr4.json.
+// tracer attached, pricing the enabled tracing path (per-round EPVP
+// snapshots, SPF events) against the nil-tracer baseline.
 func BenchmarkVerifyRegion1Traced(b *testing.B) {
 	text := netgen.CSP(netgen.CSPOldRegion(1))
 	b.ResetTimer()
@@ -178,8 +177,7 @@ func BenchmarkVerifyRegion1Parallel(b *testing.B) {
 // iteration verifies a one-router delta (the tail router originates one
 // more prefix), warm-starting EPVP from the cached converged fixed point
 // and recomputing only the dirty closure. BenchmarkVerifyRegion1 is the
-// cold baseline; `make bench-incremental` records both into
-// BENCH_pr3.json. The report cache is disabled so iterations measure the
+// cold baseline. The report cache is disabled so iterations measure the
 // load + warm-SRC + analysis path rather than a digest lookup.
 func BenchmarkVerifyRegion1WarmDelta(b *testing.B) {
 	base := netgen.CSP(netgen.CSPOldRegion(1))
@@ -278,8 +276,7 @@ func BenchmarkStoreRegion1Cold(b *testing.B) {
 // from a populated store directory: every iteration is a fresh Verifier
 // (empty stage caches) whose SRC, analysis, and SPF artifacts all
 // deserialize from disk; only config parsing, policy compilation, and
-// blob decoding remain. `make bench-store` records it against the cold
-// baseline in BENCH_pr6.json.
+// blob decoding remain. BenchmarkStoreRegion1Cold is its cold baseline.
 func BenchmarkStoreRegion1DiskWarm(b *testing.B) {
 	text := netgen.CSP(netgen.CSPOldRegion(1))
 	ctx := context.Background()

@@ -6,8 +6,6 @@ package expresso_test
 //	BenchmarkDeltaRegion1Baseline    — deltas anchored on a registered baseline
 //	BenchmarkDeltaRegion1CoalescedBurst — a burst of superseding deltas
 //	                                     through the coalescing queue
-//
-// `make bench-delta` records all three into BENCH_pr8.json.
 
 import (
 	"context"

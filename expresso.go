@@ -87,21 +87,13 @@ type Options struct {
 	// to a positive integer, overrides a zero value (used by CI to force
 	// the parallel paths under the race detector).
 	Workers int
-	// GC controls memory reclamation between the SRC fixed point and the
-	// analysis stages. The default (GCAuto) drops the engine's ITE memo
-	// and forces a collection only under heap pressure, so small
-	// snapshots on the service hot path no longer pay a forced GC per
-	// request; GCAlways restores the old unconditional behavior and
-	// GCNever disables reclamation. Like Workers, GC changes how a report
-	// is produced, never its content, so it is excluded from CacheKey.
-	GC GCMode
 	// Trace, when non-nil, records a run-scoped telemetry trace: one
 	// span per pipeline stage (with cache provenance) plus fine-grained
 	// engine events — per-EPVP-round convergence records and per-router
 	// SPF work. Call Trace.Finish (or WriteJSON) after the run to obtain
 	// the trace. A nil Trace is the default and costs nothing on the
-	// engine's hot paths. Like Workers and GC, Trace never changes a
-	// report's content and is excluded from CacheKey.
+	// engine's hot paths. Like Workers, Trace never changes a report's
+	// content and is excluded from CacheKey.
 	Trace *Tracer
 }
 
@@ -113,16 +105,6 @@ type Trace = telemetry.Trace
 
 // NewTracer starts a run-scoped trace recorder for Options.Trace.
 func NewTracer() *Tracer { return telemetry.NewTracer() }
-
-// GCMode re-exports the pipeline's post-SRC reclamation policy.
-type GCMode = pipeline.GCMode
-
-// Reclamation policies for Options.GC.
-const (
-	GCAuto   = pipeline.GCAuto
-	GCAlways = pipeline.GCAlways
-	GCNever  = pipeline.GCNever
-)
 
 func (o *Options) normalize() {
 	if o.Mode.IsZero() {
@@ -317,7 +299,7 @@ func (n *Network) VerifyContext(ctx context.Context, opts Options) (*Report, err
 // trace spans (nil-tracer safe).
 func traceStages(tr *Tracer, stages []StageInfo) {
 	for _, st := range stages {
-		tr.Span(st.Stage, st.Status, st.Key, st.Seed, st.Note, st.Duration)
+		tr.Span(st.Stage, st.Status, st.Key, st.Seed, st.Note, st.Start, st.Duration)
 	}
 }
 
@@ -365,7 +347,6 @@ func (o *Options) request(load *pipeline.LoadArtifact) *pipeline.Request {
 		Properties: o.Properties,
 		BTE:        o.BTE,
 		Workers:    o.Workers,
-		GC:         o.GC,
 		Trace:      o.Trace,
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/netgen"
@@ -117,5 +118,88 @@ func TestReorderDiskWarmByteIdentical(t *testing.T) {
 				t.Fatalf("disk-warm run with forced sifting differs from baseline:\n--- off ---\n%s\n--- warm ---\n%s", want, got)
 			}
 		})
+	}
+}
+
+// TestReorderConcurrentBaselineDeltas sends deltas against one baseline
+// from two goroutines with sifting, then sweeping, forced on. Every delta
+// warm-starts in the baseline's shared manager, so a collection that runs
+// while another delta builds nodes there frees or moves them under its
+// feet. The deltas must finish before a deadline and report exactly what
+// the same deltas report when run one after another.
+func TestReorderConcurrentBaselineDeltas(t *testing.T) {
+	for _, budgets := range []struct{ name, reorder, reclaim string }{
+		{"sift", "200", "off"},
+		{"sweep", "off", "200"},
+	} {
+		t.Run(budgets.name, func(t *testing.T) {
+			t.Setenv("EXPRESSO_REORDER", budgets.reorder)
+			t.Setenv("EXPRESSO_RECLAIM", budgets.reclaim)
+			concurrentBaselineDeltas(t)
+		})
+	}
+}
+
+func concurrentBaselineDeltas(t *testing.T) {
+	ctx := context.Background()
+	opts := Options{Workers: 1}
+	base := testnet.Figure4Fixed
+	const clients, perClient = 2, 8
+	delta := func(c, i int) string {
+		return base + fmt.Sprintf("bgp network 203.0.%d.%d/32\n", 113+c, i)
+	}
+	register := func() *Verifier {
+		v := NewVerifier(VerifierConfig{})
+		if _, _, err := v.RegisterBaseline(ctx, "prod", base, opts); err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+
+	serial := register()
+	want := map[string]string{}
+	for c := 0; c < clients; c++ {
+		for i := 0; i < perClient; i++ {
+			rep, _, err := serial.VerifyTextFrom(ctx, "prod", delta(c, i), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[delta(c, i)] = string(reportJSON(t, rep))
+		}
+	}
+
+	v := register()
+	got := make([][]*Report, clients)
+	errs := make(chan error, clients)
+	for c := 0; c < clients; c++ {
+		go func(c int) {
+			for i := 0; i < perClient; i++ {
+				rep, _, err := v.VerifyTextFrom(ctx, "prod", delta(c, i), opts)
+				if err != nil {
+					errs <- err
+					return
+				}
+				got[c] = append(got[c], rep)
+			}
+			errs <- nil
+		}(c)
+	}
+	deadline := time.After(3 * time.Minute)
+	for c := 0; c < clients; c++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-deadline:
+			t.Fatal("concurrent deltas did not finish before the deadline")
+		}
+	}
+	for c := 0; c < clients; c++ {
+		for i, rep := range got[c] {
+			if g, w := string(reportJSON(t, rep)), want[delta(c, i)]; g != w {
+				t.Fatalf("client %d delta %d differs from the serial run:\n--- serial ---\n%s\n--- concurrent ---\n%s", c, i, w, g)
+			}
+		}
 	}
 }

@@ -14,6 +14,43 @@ import (
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
 
+// TestVerifyTextTraceSpansSequential checks that stage spans carry their
+// real start times: the stages of one verification run one after another,
+// so their spans must appear in pipeline order, each ending no later than
+// the next one starts.
+func TestVerifyTextTraceSpansSequential(t *testing.T) {
+	tracer := expresso.NewTracer()
+	opts := expresso.Options{
+		Properties: []expresso.Kind{expresso.RouteLeakFree, expresso.TrafficHijackFree},
+		Trace:      tracer,
+	}
+	v := expresso.NewVerifier(expresso.VerifierConfig{})
+	if _, _, err := v.VerifyText(context.Background(), testnet.Figure4, opts); err != nil {
+		t.Fatal(err)
+	}
+	spans := tracer.Finish().Spans
+	var names []string
+	for _, sp := range spans {
+		names = append(names, sp.Name)
+	}
+	want := []string{"load", "src", "routing_analysis", "spf", "forwarding_analysis", "report"}
+	if len(names) != len(want) {
+		t.Fatalf("spans = %v, want %v", names, want)
+	}
+	for i := range want {
+		if names[i] != want[i] {
+			t.Fatalf("spans = %v, want %v", names, want)
+		}
+	}
+	for i := 1; i < len(spans); i++ {
+		prev, cur := spans[i-1], spans[i]
+		if end := prev.StartNS + prev.Duration; end > cur.StartNS {
+			t.Errorf("span %s [%d, %d) overlaps the next span %s starting at %d",
+				prev.Name, prev.StartNS, end, cur.Name, cur.StartNS)
+		}
+	}
+}
+
 // TestVerifyTextTrace runs the staged verifier with a tracer attached and
 // checks the trace covers the whole run: one span per pipeline stage,
 // exactly one round event per EPVP iteration, per-router SPF events, and
@@ -157,11 +194,11 @@ func TestVerifyTraceDirect(t *testing.T) {
 
 // TestTraceOverhead prices the enabled tracing path against the nil-tracer
 // baseline and asserts it stays under 5% on the region-1 fixture. It is a
-// tier-2 check — timing-sensitive, so it only runs when the bench-trace
-// target sets EXPRESSO_TRACE_OVERHEAD=1.
+// tier-2 check — timing-sensitive, so it only runs when the
+// trace-overhead target sets EXPRESSO_TRACE_OVERHEAD=1.
 func TestTraceOverhead(t *testing.T) {
 	if os.Getenv("EXPRESSO_TRACE_OVERHEAD") != "1" {
-		t.Skip("timing-sensitive; set EXPRESSO_TRACE_OVERHEAD=1 (make bench-trace) to run")
+		t.Skip("timing-sensitive; set EXPRESSO_TRACE_OVERHEAD=1 (make trace-overhead) to run")
 	}
 	text := netgen.CSP(netgen.CSPOldRegion(1))
 	verify := func(traced bool) {

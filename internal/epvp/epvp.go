@@ -75,11 +75,93 @@ type Engine struct {
 	// request's tracer here for the duration of the SRC stage. A nil
 	// tracer costs one pointer check per round.
 	Trace *telemetry.Tracer
+	// Quiesce, when non-nil, is held while Collect sifts or sweeps. The
+	// pipeline sets it to a lock whose read side a warm start holds while
+	// it compiles policies into the same shared manager, so a collection
+	// never frees or moves nodes under that compile.
+	Quiesce sync.Locker
 
 	ctx       symbolic.CompileContext
 	permitAll *symbolic.Transfer
 	transfers map[transferKey]*symbolic.Transfer
 	edgeMemo  *edgeMemo
+	mem       memPolicy
+}
+
+// memPolicy is the engine's dead-node collection policy (see Collect).
+// The budgets are the EXPRESSO_REORDER and EXPRESSO_RECLAIM node-growth
+// budgets, read once when the engine is built (0 = disabled). Each floor is
+// the manager's created counter at the engine's last collection of that
+// kind, or at its construction, so a budget measures hash-consing growth
+// since then.
+type memPolicy struct {
+	reorderBudget, reclaimBudget int64
+	reorderFloor, reclaimFloor   int64
+}
+
+func newMemPolicy(m *bdd.Manager) memPolicy {
+	var p memPolicy
+	if b, on := telemetry.ReorderBudgetFromEnv(); on {
+		p.reorderBudget = int64(b)
+	}
+	if b, on := telemetry.ReclaimBudgetFromEnv(); on {
+		p.reclaimBudget = int64(b)
+	}
+	_, created := m.UniqueStats()
+	p.reorderFloor, p.reclaimFloor = created, created
+	return p
+}
+
+// Collection reports what one Collect call did: at most one of a sift
+// pass and a sweep ran.
+type Collection struct {
+	// Sifts is 1 when a sift pass ran; Reorder is its result.
+	Sifts   int64
+	Reorder bdd.ReorderResult
+	// Sweeps is 1 when a mark-and-sweep ran; Freed and SweepPause are
+	// what it reclaimed and how long it took.
+	Sweeps     int64
+	Freed      int64
+	SweepPause time.Duration
+}
+
+// Collect is the engine's memory barrier. Once hash-consing growth since
+// the last sift reaches the reorder budget it sifts the variable order;
+// otherwise, once growth since the last sweep reaches the reclaim budget,
+// it sweeps dead nodes. A sift reclaims on entry, so it resets both
+// floors. roots are the caller's live handles; pins cover everything
+// else.
+//
+// The created counter is a pure function of the canonical node set at
+// the barriers Collect runs at (policy-compile device boundaries, EPVP
+// round ends, pre-SPF), so collections fire at the same points for every
+// worker count. The caller must hold the manager quiescent: no concurrent
+// use of it by any other engine or worker (the pipeline holds the SRC run
+// lock, and Quiesce keeps out warm-start compiles).
+func (e *Engine) Collect(roots ...bdd.Node) Collection {
+	m := e.Space.M
+	p := &e.mem
+	_, created := m.UniqueStats()
+	sift := p.reorderBudget > 0 && created-p.reorderFloor >= p.reorderBudget
+	if !sift && (p.reclaimBudget == 0 || created-p.reclaimFloor < p.reclaimBudget) {
+		return Collection{}
+	}
+	if e.Quiesce != nil {
+		e.Quiesce.Lock()
+		defer e.Quiesce.Unlock()
+	}
+	var c Collection
+	if sift {
+		c.Sifts, c.Reorder = 1, m.Reorder(roots...)
+		_, p.reorderFloor = m.UniqueStats()
+		p.reclaimFloor = p.reorderFloor
+	} else {
+		pause0 := m.ReclaimStats().Pause
+		c.Sweeps, c.Freed = 1, int64(m.Reclaim(roots...))
+		c.SweepPause = m.ReclaimStats().Pause - pause0
+		_, p.reclaimFloor = m.UniqueStats()
+	}
+	return c
 }
 
 type transferKey struct {
@@ -206,6 +288,7 @@ func NewContext(ctx context.Context, net *topology.Network, mode Mode) (*Engine,
 		transfers: map[transferKey]*symbolic.Transfer{},
 		edgeMemo:  newEdgeMemo(),
 	}
+	e.mem = newMemPolicy(e.Space.M)
 	if err := e.compilePoliciesReusing(ctx, nil, nil); err != nil {
 		return nil, err
 	}
@@ -231,20 +314,6 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 		SymbolicASPaths:     e.Mode.SymbolicASPaths,
 	}
 	e.permitAll = symbolic.CompilePolicy(e.ctx, nil)
-	// Compile-time reordering gate: policy compilation is single-threaded
-	// and device-ordered, so between-device boundaries are quiescent and
-	// the created counter at each is schedule-independent — the same
-	// determinism argument as the round-end gate. Compilation dominates a
-	// cold engine's node churn (≈90% on the region fixtures), so without
-	// this gate a forced budget could never move the peak watermark. Dead
-	// nodes here are compile intermediates; live transfers are collected
-	// via Roots, and anything owned by other engine instances sharing the
-	// manager is protected by its owner's pins (the Reclaim contract).
-	reorderBudget, reorderOn := telemetry.ReorderBudgetFromEnv()
-	var reorderFloor int64
-	if reorderOn {
-		_, reorderFloor = e.Space.M.UniqueStats()
-	}
 	for _, name := range e.Net.Internals {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -269,11 +338,16 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 				e.transfers[k] = symbolic.CompilePolicy(e.ctx, d.Policies[polName])
 			}
 		}
-		if reorderOn {
-			if _, created := e.Space.M.UniqueStats(); created-reorderFloor >= int64(reorderBudget) {
-				e.Space.M.Reorder(e.Roots()...)
-				_, reorderFloor = e.Space.M.UniqueStats()
-			}
+		// Compile-time collection barrier: compilation is single-threaded
+		// and device-ordered, so device boundaries are quiescent for an
+		// engine that owns its manager, and compilation dominates a cold
+		// engine's node churn (≈90% on the region fixtures). Dead nodes
+		// here are compile intermediates; live transfers are rooted via
+		// Roots. A warm engine (prior != nil) compiles in a manager other
+		// engines share, whose quiescence only its caller can vouch for,
+		// so it skips the barrier and leaves collection to its run.
+		if prior == nil {
+			e.Collect(e.Roots()...)
 		}
 	}
 	return nil
@@ -296,7 +370,10 @@ func (e *Engine) compilePoliciesReusing(ctx context.Context, prior *Engine, reus
 //
 // The returned engine has forked per-engine BDD workers, so it can run
 // concurrently with readers of the prior engine; the shared node manager
-// is concurrent-safe. Transfers for devices in unchanged (callers pass the
+// is concurrent-safe, but not against a collection (Collect, Reclaim,
+// Reorder) or variable allocation on it. Callers must keep those out
+// while NewWarm compiles, and must root the returned engine's Roots until
+// its run starts. Transfers for devices in unchanged (callers pass the
 // routers whose configuration sections are byte-identical to prior's; nil
 // means none) are adopted from the prior engine; the rest are recompiled
 // from the new devices. The edge-transfer memo starts empty (policies may
@@ -331,6 +408,7 @@ func NewWarm(ctx context.Context, net *topology.Network, mode Mode, prior *Engin
 		transfers: map[transferKey]*symbolic.Transfer{},
 		edgeMemo:  newEdgeMemo(),
 	}
+	e.mem = newMemPolicy(e.Space.M)
 	if err := e.compilePoliciesReusing(ctx, prior, unchanged); err != nil {
 		return nil, err
 	}
@@ -343,10 +421,10 @@ func (e *Engine) Ctx() symbolic.CompileContext { return e.ctx }
 // Roots returns every prefix-space BDD handle the engine keeps alive
 // across runs: the compiled transfer guards and the cross-round
 // edge-transfer memo (both are what make a warm start cheap). Callers
-// running bdd.Manager.Reclaim at stage boundaries — the pipeline does,
-// before SPF — must pass these as roots, along with any result routes they
-// retain themselves (the pipeline pins its cached artifacts instead). The
-// engine must be quiescent (no run in progress).
+// running Collect at stage boundaries — the pipeline does, before SPF —
+// must pass these as roots, along with any result routes they retain
+// themselves (the pipeline pins its cached artifacts instead). The engine
+// must be quiescent (no run in progress).
 func (e *Engine) Roots() []bdd.Node {
 	out := make([]bdd.Node, 0, 256)
 	out = append(out, e.permitAll.Nodes()...)
@@ -658,25 +736,6 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		Best:        map[string][]*symbolic.Route{},
 		ExternalRIB: map[string][]*symbolic.Route{},
 	}
-	// Between-round reclamation trigger: sweep once hash-consing growth
-	// since the last sweep exceeds the budget. created at a round boundary
-	// is a pure function of the canonical node set, so the trigger fires
-	// in the same rounds for every worker count (the determinism
-	// invariant).
-	reclaimBudget, reclaimOn := telemetry.ReclaimBudgetFromEnv()
-	var createdFloor int64
-	if reclaimOn {
-		_, createdFloor = e.Space.M.UniqueStats()
-	}
-	// Dynamic-reordering trigger: same shape as the reclamation gate —
-	// growth of the (schedule-independent) created counter since the last
-	// reorder — but with a much larger default budget, since a sift pass
-	// is a far heavier pause than a sweep.
-	reorderBudget, reorderOn := telemetry.ReorderBudgetFromEnv()
-	var reorderFloor int64
-	if reorderOn {
-		_, reorderFloor = e.Space.M.UniqueStats()
-	}
 	workers := e.WorkerCount()
 	var forks []*Engine
 	if workers > 1 {
@@ -780,34 +839,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		// so this watermark sample is schedule-independent. Two atomics —
 		// cheap enough to run whether or not tracing is on.
 		e.Space.M.NoteWatermark()
-		// Dead-node reclamation between rounds: once enough new nodes have
-		// been hash-consed, sweep everything unreachable from the round's
-		// live state. The forks are quiescent here (WaitGroup barrier), and
-		// the next round's goroutines start after this point, satisfying
-		// Reclaim's quiescence contract; worker memos invalidate lazily via
-		// the manager's generation counter.
-		var rcFreed, rcPause int64
-		var rcRuns int64
-		var roRes bdd.ReorderResult
-		var roRuns int64
-		// Reordering first: a sift pass reclaims on entry, so a round that
-		// reorders skips the separate sweep (both floors reset together).
-		if reorderOn && !converged {
-			if _, created := e.Space.M.UniqueStats(); created-reorderFloor >= int64(reorderBudget) {
-				roRes = e.Space.M.Reorder(e.runRoots(best, extInit, seed)...)
-				roRuns = 1
-				_, reorderFloor = e.Space.M.UniqueStats()
-				createdFloor = reorderFloor
-			}
-		}
-		if reclaimOn && !converged && roRuns == 0 {
-			if _, created := e.Space.M.UniqueStats(); created-createdFloor >= int64(reclaimBudget) {
-				rc0 := e.Space.M.ReclaimStats()
-				rcFreed = int64(e.Space.M.Reclaim(e.runRoots(best, extInit, seed)...))
-				rcPause = int64(e.Space.M.ReclaimStats().Pause - rc0.Pause)
-				rcRuns = 1
-				_, createdFloor = e.Space.M.UniqueStats()
-			}
+		// Collection barrier between rounds: the forks are quiescent here
+		// (WaitGroup barrier), and the next round's goroutines start after
+		// this point; worker memos invalidate lazily via the manager's
+		// generation counter.
+		var col Collection
+		if !converged {
+			col = e.Collect(e.runRoots(best, extInit, seed)...)
 		}
 		if e.Trace.Enabled() {
 			uhits1, nodes1 := e.Space.M.UniqueStats()
@@ -824,13 +862,13 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 				ITEMisses:      imiss1 - imiss0,
 				UniqueHits:     uhits1 - uhits0,
 				UniqueMisses:   nodes1 - nodes0,
-				Reclaims:       rcRuns,
-				ReclaimedNodes: rcFreed,
-				ReclaimNS:      rcPause,
-				Reorders:       roRuns,
-				ReorderSwaps:   roRes.Swaps,
-				ReorderFreed:   roRes.Freed,
-				ReorderNS:      int64(roRes.Pause),
+				Reclaims:       col.Sweeps,
+				ReclaimedNodes: col.Freed,
+				ReclaimNS:      int64(col.SweepPause),
+				Reorders:       col.Sifts,
+				ReorderSwaps:   col.Reorder.Swaps,
+				ReorderFreed:   col.Reorder.Freed,
+				ReorderNS:      int64(col.Reorder.Pause),
 				BDDPeak:        peak,
 				Duration:       time.Since(roundStart).Nanoseconds(),
 			})
@@ -838,16 +876,6 @@ func (e *Engine) run(ctx context.Context, seed *Result, dirty []string) (*Result
 		if converged {
 			res.Converged = true
 			break
-		}
-		// Bound the op memos between rounds on very large runs; the node
-		// table itself is retained, so handles stay valid.
-		if e.Space.M.CacheSize() > 64<<20 {
-			e.Space.M.ClearCaches()
-		}
-		for _, f := range forks {
-			if f.ctx.Space.W.CacheSize() > (64<<20)/len(forks) {
-				f.ctx.Space.W.ClearCache()
-			}
 		}
 	}
 	// Canonical, handle-free ordering so reports are byte-identical across

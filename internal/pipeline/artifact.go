@@ -88,10 +88,16 @@ type SRCArtifact struct {
 	// manager: the manager's default worker is not safe for concurrent
 	// use, and a cached artifact can be picked up by several requests at
 	// once. Artifacts produced by warm-starting share the prior
-	// artifact's manager, so they share its lock too. Reclaim sweeps run
+	// artifact's manager, so they share its lock too. Collections run
 	// under it as well, which is what makes them safe: every other
-	// symbolic computation on the manager is excluded for the duration.
+	// symbolic computation on the manager is excluded for the duration,
+	// apart from a warm start's compile, which buildLock excludes.
 	runLock *sync.Mutex
+	// buildLock lets a warm start compile policies into Eng's manager
+	// without runLock: the compile holds its read side, and everything
+	// that frees, moves or adds variables on the manager holds its write
+	// side (collections through Eng.Quiesce). Shared like runLock.
+	buildLock *sync.RWMutex
 
 	pins []bdd.Node
 }
@@ -128,17 +134,29 @@ func (a *SRCArtifact) unpinHandles() {
 	a.pins = nil
 }
 
+// ownLocks gives an artifact whose engine computed in a manager of its
+// own fresh run and build locks, and binds the engine's collections to
+// the build lock.
+func (a *SRCArtifact) ownLocks() *SRCArtifact {
+	a.runLock, a.buildLock = &sync.Mutex{}, &sync.RWMutex{}
+	a.Eng.Quiesce = a.buildLock
+	return a
+}
+
 // lock serializes engine-touching computation on the artifact's manager.
 func (a *SRCArtifact) lock()   { a.runLock.Lock() }
 func (a *SRCArtifact) unlock() { a.runLock.Unlock() }
 
-// BDDProfile snapshots the artifact's BDD manager under the run lock, so
-// the walk sees a quiescent node population even when the artifact is
-// shared with in-flight verifications. This is the introspection path
-// behind GET /debug/bdd; it runs only on demand, never inside the engine.
+// BDDProfile snapshots the artifact's BDD manager under the run lock and
+// the build lock's write side, so the walk sees a quiescent node
+// population even when the artifact is shared with in-flight
+// verifications and warm compiles. This is the introspection path behind
+// GET /debug/bdd; it runs only on demand, never inside the engine.
 func (a *SRCArtifact) BDDProfile() bdd.Profile {
 	a.lock()
 	defer a.unlock()
+	a.buildLock.Lock()
+	defer a.buildLock.Unlock()
 	return a.Eng.Space.M.Profile()
 }
 

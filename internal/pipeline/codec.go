@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
-	"sync"
 
 	"github.com/expresso-verify/expresso/internal/automaton"
 	"github.com/expresso-verify/expresso/internal/bdd"
@@ -454,12 +453,11 @@ func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*
 	if res.ExternalRIB, err = buildRIBs(external); err != nil {
 		return nil, err
 	}
-	return &SRCArtifact{
+	return (&SRCArtifact{
 		Key: key, Digest: hashHex(key),
 		Eng: eng, Res: res, Load: load,
 		Workers: int(workers),
-		runLock: &sync.Mutex{},
-	}, nil
+	}).ownLocks(), nil
 }
 
 // --- Analysis ------------------------------------------------------------

@@ -5,9 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
+	"github.com/expresso-verify/expresso/internal/bdd"
 	"github.com/expresso-verify/expresso/internal/epvp"
 	"github.com/expresso-verify/expresso/internal/properties"
 	"github.com/expresso-verify/expresso/internal/route"
@@ -16,58 +16,28 @@ import (
 	"github.com/expresso-verify/expresso/internal/telemetry"
 )
 
-// GCMode controls the memory reclamation between the SRC fixed point and
-// the analysis stages. The pre-pipeline monolith unconditionally dropped
-// the engine's ITE memos and forced a garbage collection there — right
-// for one-shot verification of the paper's large snapshots (the memo is
-// often gigabytes), wrong as an always-on cost for a service verifying
-// small snapshots at high rate.
-type GCMode int
+// heapPressureThreshold is the post-SRC heap-pressure cutoff (see
+// relieveHeap). Small enough that full-old-scale verifications cross it
+// every time, large enough that testnet-sized service traffic never pays
+// a forced GC per request. A variable only so tests can lower it.
+var heapPressureThreshold uint64 = 256 << 20
 
-const (
-	// GCAuto (the default) reclaims only under heap pressure: when the
-	// post-SRC live heap exceeds gcHeapThreshold.
-	GCAuto GCMode = iota
-	// GCAlways reclaims after every SRC computation (the old behavior).
-	GCAlways
-	// GCNever skips reclamation entirely.
-	GCNever
-)
-
-// gcHeapThreshold is the GCAuto heap-pressure cutoff. Small enough that
-// the paper-scale snapshots (multi-GB memos) always reclaim, large enough
-// that testnet-sized service traffic never pays a forced GC per request.
-const gcHeapThreshold = 256 << 20
-
-// String renders the mode for logs and provenance notes.
-func (g GCMode) String() string {
-	switch g {
-	case GCAlways:
-		return "always"
-	case GCNever:
-		return "never"
-	default:
-		return "auto"
-	}
-}
-
-// reclaim applies the GC policy after a freshly computed SRC fixed point,
-// reporting whether it forced a collection.
-func reclaim(mode GCMode, eng *epvp.Engine) bool {
-	switch mode {
-	case GCNever:
+// relieveHeap is the fixed post-SRC memory rule: when the live heap holds
+// at least heapPressureThreshold after the fixed point, drop the
+// manager's default-worker op caches (pure acceleration state the
+// analysis stages rebuild) and force a garbage collection. The caches
+// belong to every artifact sharing the manager, so they are dropped under
+// the run lock; the collection runs after it is released. Reports whether
+// the rule fired.
+func relieveHeap(src *SRCArtifact) bool {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapAlloc < heapPressureThreshold {
 		return false
-	case GCAlways:
-	default: // GCAuto: only under heap pressure
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		if ms.HeapAlloc < gcHeapThreshold {
-			return false
-		}
 	}
-	// The fixed point is done: the ITE memo is pure acceleration state and
-	// the analysis stages rebuild what they need.
-	eng.Space.M.ClearCaches()
+	src.lock()
+	src.Eng.Space.M.ClearCaches()
+	src.unlock()
 	runtime.GC()
 	return true
 }
@@ -88,6 +58,8 @@ type StageInfo struct {
 	Status   string        `json:"status"`
 	Key      string        `json:"key"`
 	Duration time.Duration `json:"duration_ns"`
+	// Start is the stage's wall-clock start; trace spans are placed by it.
+	Start time.Time `json:"-"`
 	// Seed is the digest of the prior SRC artifact a warm start chained
 	// on ("" for every other provenance) — a first-class column in the
 	// CLI's -explain-cache table and the trace spans.
@@ -108,7 +80,6 @@ type Request struct {
 	Properties []properties.Kind
 	BTE        route.Community
 	Workers    int
-	GC         GCMode
 	// Baseline names the registered baseline this request is a delta
 	// against (""= none). When set and the Runner has a registry, the SRC
 	// stage anchors on the baseline's pinned converged state: an exact
@@ -118,7 +89,7 @@ type Request struct {
 	// Trace, when non-nil, receives fine-grained engine events for the
 	// stages that actually compute (EPVP rounds, SPF per-router work).
 	// Stage spans themselves are recorded by the caller from the
-	// Outcome's StageInfos. Like Workers and GC, Trace never changes a
+	// Outcome's StageInfos. Like Workers, Trace never changes a
 	// report's content and is absent from every cache key.
 	Trace *telemetry.Tracer
 }
@@ -194,7 +165,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	info.Duration = time.Since(start)
+	info.Start, info.Duration = start, time.Since(start)
 	out.SRC = src
 	out.Stages = append(out.Stages, info)
 
@@ -203,8 +174,6 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 	start = time.Now()
 	routing, status, err := r.resolveAnalysis(ctx, StageRouting, routingKey, cacheable, diskable, src, 0, func() ([]properties.Violation, error) {
 		var vs []properties.Violation
-		src.lock()
-		defer src.unlock()
 		for _, k := range routingProps {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -224,7 +193,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 		return nil, err
 	}
 	out.Routing = routing
-	out.Stages = append(out.Stages, StageInfo{Stage: StageRouting, Status: status, Key: routingKey, Duration: time.Since(start)})
+	out.Stages = append(out.Stages, StageInfo{Stage: StageRouting, Status: status, Key: routingKey, Start: start, Duration: time.Since(start)})
 
 	if len(forwardingProps) == 0 {
 		return out, nil
@@ -247,7 +216,9 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 			// builds nodes in the shared SRC manager: serialize against its
 			// other users exactly like a computed SPF run.
 			src.lock()
+			src.buildLock.Lock() // allocates the data-plane variables
 			art, derr := DecodeSPF(src.Eng, spfKey, data)
+			src.buildLock.Unlock()
 			if derr == nil {
 				art.pinHandles(src.Eng.Space.M)
 			}
@@ -266,27 +237,26 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 			return nil, err
 		}
 		src.lock()
-		// Dead-node sweep before SPF: the fixed point's intermediates are
-		// garbage now, and SPF is about to add 33 data-plane variables per
-		// neighbor and build a large fresh population on top. Gated on the
-		// same growth budget as the between-round sweeps so small runs
-		// never pause. The roots are this request's working set — pins
-		// cover the cached artifacts, but an artifact evicted mid-request
-		// must survive its own run too.
-		// Reordering subsumes the sweep (it reclaims on entry), so at most
-		// one of the two stop-the-world passes runs here.
-		if budget, on := telemetry.ReorderBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
-			src.Eng.Space.M.Reorder(append(src.handles(), routing.handles()...)...)
-		} else if budget, on := telemetry.ReclaimBudgetFromEnv(); on && src.Eng.Space.M.NumNodes() >= budget {
-			src.Eng.Space.M.Reclaim(append(src.handles(), routing.handles()...)...)
-		}
+		// Collection barrier before SPF: the fixed point's intermediates
+		// are garbage now, and SPF is about to add 33 data-plane variables
+		// per neighbor and build a large fresh population on top. The roots
+		// are this request's working set — pins cover the cached
+		// artifacts, but an artifact evicted mid-request must survive its
+		// own run too.
+		src.Eng.Collect(append(src.handles(), routing.handles()...)...)
+		src.buildLock.Lock() // SPF allocates its data-plane variables
 		dp, err := spf.RunTraced(ctx, src.Eng, src.Res, req.Trace)
+		src.buildLock.Unlock()
+		if err == nil {
+			// Pinned before the lock is released: another request's
+			// barrier may sweep the manager as soon as it is.
+			spfArt = &SPFArtifact{Key: spfKey, Digest: hashHex(spfKey), Res: dp}
+			spfArt.pinHandles(src.Eng.Space.M)
+		}
 		src.unlock()
 		if err != nil {
 			return nil, err
 		}
-		spfArt = &SPFArtifact{Key: spfKey, Digest: hashHex(spfKey), Res: dp}
-		spfArt.pinHandles(src.Eng.Space.M)
 		if cacheable {
 			r.Cache.Add(StageSPF, spfKey, spfArt)
 		}
@@ -298,15 +268,13 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 		}
 	}
 	out.SPF = spfArt
-	out.Stages = append(out.Stages, StageInfo{Stage: StageSPF, Status: status, Key: spfKey, Duration: time.Since(start)})
+	out.Stages = append(out.Stages, StageInfo{Stage: StageSPF, Status: status, Key: spfKey, Start: start, Duration: time.Since(start)})
 
 	// --- ForwardingAnalysis --------------------------------------------
 	forwardingKey := ForwardingKey(spfArt.Digest, forwardingProps)
 	start = time.Now()
 	forwarding, status, err := r.resolveAnalysis(ctx, StageForwarding, forwardingKey, cacheable, diskable, src, spfArt.Res.VarBase(), func() ([]properties.Violation, error) {
 		var vs []properties.Violation
-		src.lock()
-		defer src.unlock()
 		for _, k := range forwardingProps {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -327,7 +295,7 @@ func (r *Runner) Run(ctx context.Context, req *Request) (*Outcome, error) {
 		return nil, err
 	}
 	out.Forwarding = forwarding
-	out.Stages = append(out.Stages, StageInfo{Stage: StageForwarding, Status: status, Key: forwardingKey, Duration: time.Since(start)})
+	out.Stages = append(out.Stages, StageInfo{Stage: StageForwarding, Status: status, Key: forwardingKey, Start: start, Duration: time.Since(start)})
 	return out, nil
 }
 
@@ -434,18 +402,20 @@ func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, ca
 		if err != nil {
 			return nil, info, err
 		}
-		src = &SRCArtifact{
+		src = (&SRCArtifact{
 			Key: srcKey, Digest: hashHex(srcKey),
 			Eng: eng, Res: res, Load: req.Load,
 			Workers: eng.WorkerCount(),
-			runLock: &sync.Mutex{},
-		}
+		}).ownLocks()
 	}
 	// Root the fixed point against dead-node reclamation before anything
 	// else (a concurrent warm run, this request's own pre-SPF sweep) can
 	// sweep the manager. Pinned even when uncacheable: the sweep points
-	// downstream rely on it.
-	src.pinHandles()
+	// downstream rely on it. A warm result lives in a manager other
+	// requests share, so warmFrom pins it before releasing the run lock.
+	if info.Status != StatusWarm {
+		src.pinHandles()
+	}
 	if cacheable {
 		r.Cache.Add(StageSRC, srcKey, src)
 	}
@@ -458,7 +428,7 @@ func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, ca
 		r.Store.Put(StageSRC, diskKey(srcKey), blob)
 	}
 	gcNote := "gc=skipped"
-	if reclaim(req.GC, src.Eng) {
+	if relieveHeap(src) {
 		gcNote = "gc=forced"
 	}
 	if info.Note != "" {
@@ -475,28 +445,45 @@ func (r *Runner) resolveSRC(ctx context.Context, req *Request, srcKey string, ca
 // the next resolution tier. The warmed artifact computes in the prior's
 // manager and therefore shares its run lock.
 func (r *Runner) warmFrom(ctx context.Context, req *Request, srcKey string, prior *SRCArtifact) (*SRCArtifact, int, error) {
+	// The compile builds nodes in the prior artifact's manager while
+	// other requests may run on it. Holding the build lock's read side
+	// keeps their collections and variable allocations out, and pinning
+	// the compiled transfers keeps a collection between the compile and
+	// the run from freeing them. The run holds the run lock until its
+	// result is pinned.
+	m := prior.Eng.Space.M
+	prior.buildLock.RLock()
 	eng, err := epvp.NewWarm(ctx, req.Load.Net, req.Mode, prior.Eng, UnchangedRouters(prior.Load, req.Load))
+	var compiled []bdd.Node
+	if err == nil {
+		compiled = eng.Roots()
+		m.Pin(compiled...)
+	}
+	prior.buildLock.RUnlock()
 	if err != nil {
 		return nil, 0, nil
 	}
+	defer m.Unpin(compiled...)
 	dirty := DirtyRouters(prior.Load, req.Load)
 	eng.Workers = req.Workers
 	eng.Trace = req.Trace
-	// The warm run computes in the prior artifact's manager: serialize
-	// against its other users for the duration.
+	eng.Quiesce = prior.buildLock
 	prior.lock()
+	defer prior.unlock()
 	res, err := eng.RunWarmContext(ctx, prior.Res, dirty)
-	prior.unlock()
 	eng.Trace = nil // the engine outlives the run in the cache
 	if err != nil {
 		return nil, 0, err
 	}
-	return &SRCArtifact{
+	src := &SRCArtifact{
 		Key: srcKey, Digest: hashHex(srcKey),
 		Eng: eng, Res: res, Load: req.Load,
 		Workers: eng.WorkerCount(),
-		runLock: prior.runLock, // shared manager, shared lock
-	}, len(dirty), nil
+		// shared manager, shared locks
+		runLock: prior.runLock, buildLock: prior.buildLock,
+	}
+	src.pinHandles()
+	return src, len(dirty), nil
 }
 
 // warmCandidate scans the SRC stage for the most recently used artifact a
@@ -517,8 +504,9 @@ func (r *Runner) warmCandidate(mode epvp.Mode) *SRCArtifact {
 }
 
 // resolveAnalysis is the shared cache-or-compute driver of the two
-// analysis stages. The violations' condition predicates live in src's
-// prefix manager; the artifact pins them there. varBase is the data-plane
+// analysis stages. compute runs under src's run lock. The violations'
+// condition predicates live in src's prefix manager; the artifact pins
+// them there before the lock is released. varBase is the data-plane
 // variable offset forwarding-stage conditions are built against (0 for the
 // routing stage) — the store codec relocates persisted predicates when the
 // offsets differ between processes.
@@ -548,12 +536,16 @@ func (r *Runner) resolveAnalysis(ctx context.Context, stage, key string, cacheab
 	if err := ctx.Err(); err != nil {
 		return nil, StatusMiss, err
 	}
+	src.lock()
 	vs, err := compute()
+	art := &AnalysisArtifact{Key: key, Violations: vs}
+	if err == nil {
+		art.pinHandles(m)
+	}
+	src.unlock()
 	if err != nil {
 		return nil, StatusMiss, err
 	}
-	art := &AnalysisArtifact{Key: key, Violations: vs}
-	art.pinHandles(m)
 	if cacheable {
 		r.Cache.Add(stage, key, art)
 	}

@@ -37,9 +37,6 @@ type Config struct {
 	// CacheSize is the LRU report-cache capacity (default: 128; negative
 	// disables all stage caches, making every run cold).
 	CacheSize int
-	// GC selects the post-SRC memory-reclamation policy for jobs
-	// (default GCAuto: reclaim only under heap pressure).
-	GC expresso.GCMode
 	// StoreDir, when non-empty, enables the persistent artifact store: a
 	// content-addressed on-disk tier shared across restarts and replicas
 	// (see expresso.VerifierConfig.StoreDir). Store traffic appears on
@@ -147,13 +144,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg.applyDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize, GC: cfg.GC}
+	vcfg := expresso.VerifierConfig{ReportCache: cfg.CacheSize}
 	if cfg.CacheSize < 0 {
 		// Caching disabled entirely: no stage may retain artifacts.
 		vcfg = expresso.VerifierConfig{
 			LoadCache: -1, SRCCache: -1, RoutingCache: -1,
 			ForwardingCache: -1, SPFCache: -1, ReportCache: -1,
-			GC: cfg.GC,
 		}
 	}
 	vcfg.StoreDir = cfg.StoreDir

@@ -21,7 +21,7 @@
 // so instrumented code calls t.Round(...) (or guards larger snapshot work
 // behind t.Enabled()) without allocating, locking, or branching beyond a
 // single nil check. The engine's hot paths carry no other tracing cost;
-// the bench-trace target pins the disabled-path overhead under 5%.
+// the trace-overhead target pins the enabled-path overhead under 5%.
 //
 // A Tracer is safe for concurrent use: SPF fans out per-router work
 // across goroutines and workers record events directly.
@@ -228,19 +228,16 @@ func (t *Tracer) SetMeta(digest, mode, options string, workers int) {
 }
 
 // Span records a completed stage. seed is the warm-start seed digest (""
-// when the stage was not warm-started); d is the stage's wall-clock
-// duration — the span's start offset is inferred from the recording time,
-// which is accurate because stages record themselves as they finish.
-func (t *Tracer) Span(name, status, key, seed, note string, d time.Duration) {
+// when the stage was not warm-started); start and d are the stage's
+// wall-clock start and duration. A stage that started before the tracer
+// is clamped to the trace's start.
+func (t *Tracer) Span(name, status, key, seed, note string, start time.Time, d time.Duration) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	startNS := time.Since(t.start).Nanoseconds() - d.Nanoseconds()
-	if startNS < 0 {
-		startNS = 0
-	}
+	startNS := max(start.Sub(t.start).Nanoseconds(), 0)
 	t.trace.Spans = append(t.trace.Spans, Span{
 		Name: name, Status: status, Key: key, Seed: seed, Note: note,
 		StartNS: startNS, Duration: d.Nanoseconds(),

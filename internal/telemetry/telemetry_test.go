@@ -18,7 +18,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer reports Enabled")
 	}
 	tr.SetMeta("d", "m", "o", 4)
-	tr.Span("src", "miss", "k", "", "", time.Second)
+	tr.Span("src", "miss", "k", "", "", time.Now(), time.Second)
 	tr.Round(RoundEvent{Round: 1})
 	tr.FIB(FIBEvent{Router: "r1"})
 	tr.Forward(ForwardEvent{Router: "r1"})
@@ -43,8 +43,8 @@ func TestTracerRecords(t *testing.T) {
 		t.Fatal("fresh tracer not enabled")
 	}
 	tr.SetMeta("digest123", "full", "props=leak", 2)
-	tr.Span("load", "miss", "k1", "", "", 3*time.Millisecond)
-	tr.Span("src", "warm", "k2", "abc123", "warm-started", 5*time.Millisecond)
+	tr.Span("load", "miss", "k1", "", "", time.Now(), 3*time.Millisecond)
+	tr.Span("src", "warm", "k2", "abc123", "warm-started", time.Now(), 5*time.Millisecond)
 	tr.Round(RoundEvent{Round: 1, Recomputed: 7, RIBChanges: 3, BDDNodes: 100, BDDGrowth: 100})
 	tr.Round(RoundEvent{Round: 2, Recomputed: 3, Frontier: 3})
 	tr.FIB(FIBEvent{Router: "r1", Entries: 4, Ports: 2})
@@ -117,11 +117,11 @@ func TestWorkersFromEnv(t *testing.T) {
 		{"", 0},
 		{"4", 4},
 		{"1", 1},
-		{"0", 0},     // non-positive → unset
-		{"-2", 0},    // non-positive → unset
-		{"four", 0},  // malformed → unset (plus a warning, once)
-		{"4.5", 0},   // malformed → unset
-		{" 4", 0},    // strict parse: no whitespace trimming
+		{"0", 0},    // non-positive → unset
+		{"-2", 0},   // non-positive → unset
+		{"four", 0}, // malformed → unset (plus a warning, once)
+		{"4.5", 0},  // malformed → unset
+		{" 4", 0},   // strict parse: no whitespace trimming
 	}
 	for _, tc := range cases {
 		t.Setenv("EXPRESSO_WORKERS", tc.value)

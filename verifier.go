@@ -49,9 +49,6 @@ type VerifierConfig struct {
 	// same whole-request cache the service used to keep, now the last
 	// layer of six.
 	ReportCache int
-	// GC is the default post-SRC reclamation policy for requests whose
-	// Options.GC is GCAuto.
-	GC GCMode
 	// StoreDir, when non-empty, enables the persistent artifact store: an
 	// on-disk content-addressed tier under the stage caches. SRC, SPF, and
 	// analysis artifacts are written through to it and read back on a
@@ -83,7 +80,6 @@ type Verifier struct {
 	cache     *pipeline.StageCache
 	store     store.Tier
 	baselines *pipeline.BaselineRegistry
-	gc        GCMode
 }
 
 // NewVerifier builds a Verifier with the configured cache capacities and,
@@ -99,7 +95,6 @@ func NewVerifier(cfg VerifierConfig) *Verifier {
 			Report:     cfg.ReportCache,
 		}),
 		baselines: pipeline.NewBaselineRegistry(),
-		gc:        cfg.GC,
 	}
 	if cfg.StoreDir != "" {
 		if d, err := store.OpenDisk(cfg.StoreDir, cfg.StoreBudget); err == nil {
@@ -212,7 +207,7 @@ func (v *Verifier) verifyText(ctx context.Context, baseline, configText string, 
 		info.CacheHit = true
 		info.Stages = append(info.Stages, StageInfo{
 			Stage: pipeline.StageReport, Status: StageHit,
-			Key: info.Digest, Duration: time.Since(start),
+			Key: info.Digest, Start: start, Duration: time.Since(start),
 		})
 		rep := cached.(*Report)
 		if opts.Trace != nil {
@@ -231,20 +226,18 @@ func (v *Verifier) verifyText(ctx context.Context, baseline, configText string, 
 	runner := &pipeline.Runner{Cache: v.cache, Store: v.store, Baselines: v.baselines}
 	req := opts.request(load)
 	req.Baseline = baseline
-	if req.GC == GCAuto {
-		req.GC = v.gc
-	}
 	out, err := runner.Run(ctx, req)
 	if err != nil {
 		return nil, nil, err
 	}
 	info.Stages = append(info.Stages, out.Stages...)
 
+	reportStart := time.Now()
 	rep := assembleReport(load.Net.Statistics(), out)
 	rep.Timing.Load = load.Elapsed
 	v.cache.Add(pipeline.StageReport, info.Digest, rep)
 	info.Stages = append(info.Stages, StageInfo{
-		Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest,
+		Stage: pipeline.StageReport, Status: StageMiss, Key: info.Digest, Start: reportStart,
 	})
 	if opts.Trace != nil {
 		opts.Trace.SetMeta(info.Digest, opts.Mode.Key(), opts.CacheKey(), out.SRC.Workers)
@@ -260,7 +253,7 @@ func (v *Verifier) load(configText string) (*pipeline.LoadArtifact, StageInfo, e
 	key := pipeline.ConfigDigest(configText)
 	if cached, ok := v.cache.Get(pipeline.StageLoad, key); ok {
 		return cached.(*pipeline.LoadArtifact), StageInfo{
-			Stage: pipeline.StageLoad, Status: StageHit, Key: key, Duration: time.Since(start),
+			Stage: pipeline.StageLoad, Status: StageHit, Key: key, Start: start, Duration: time.Since(start),
 		}, nil
 	}
 	art, err := pipeline.Load(configText)
@@ -269,7 +262,7 @@ func (v *Verifier) load(configText string) (*pipeline.LoadArtifact, StageInfo, e
 	}
 	v.cache.Add(pipeline.StageLoad, key, art)
 	return art, StageInfo{
-		Stage: pipeline.StageLoad, Status: StageMiss, Key: key, Duration: time.Since(start),
+		Stage: pipeline.StageLoad, Status: StageMiss, Key: key, Start: start, Duration: time.Since(start),
 	}, nil
 }
 
