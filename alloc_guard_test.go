@@ -12,10 +12,12 @@ import (
 // region1AllocCeiling is the allocation-regression budget for one cold
 // region-1 verification. The PR-5 BDD overhaul (bounded lossy operation
 // caches replacing exact rehashing memo tables) brought the run from
-// ~224 MB to ~112 MB of allocations; the ceiling sits between the two
-// with headroom for noise, so a regression back to unbounded memo churn
-// fails loudly while normal variance passes.
-const region1AllocCeiling = 150 << 20
+// ~224 MB to ~112 MB of allocations, and building every prefix predicate
+// as one bottom-up cube instead of chained Ands brought it from ~126 MB
+// to 45–54 MB. The ceiling sits between the last two with headroom for
+// noise, so a return to chained-And policy compilation fails loudly while
+// normal variance passes.
+const region1AllocCeiling = 90 << 20
 
 // TestRegion1AllocGuard is the env-gated allocation-regression guard:
 // it verifies region 1 cold and fails if the run allocates more than

@@ -17,7 +17,8 @@ import (
 // TestVerifyTextTraceSpansSequential checks that stage spans carry their
 // real start times: the stages of one verification run one after another,
 // so their spans must appear in pipeline order, each ending no later than
-// the next one starts.
+// the next one starts. Child spans lie inside their stage and are checked
+// by TestVerifyTextTraceSRCChildSpans.
 func TestVerifyTextTraceSpansSequential(t *testing.T) {
 	tracer := expresso.NewTracer()
 	opts := expresso.Options{
@@ -28,10 +29,13 @@ func TestVerifyTextTraceSpansSequential(t *testing.T) {
 	if _, _, err := v.VerifyText(context.Background(), testnet.Figure4, opts); err != nil {
 		t.Fatal(err)
 	}
-	spans := tracer.Finish().Spans
+	var spans []telemetry.Span
 	var names []string
-	for _, sp := range spans {
-		names = append(names, sp.Name)
+	for _, sp := range tracer.Finish().Spans {
+		if telemetry.SpanParent(sp.Name) == "" {
+			spans = append(spans, sp)
+			names = append(names, sp.Name)
+		}
 	}
 	want := []string{"load", "src", "routing_analysis", "spf", "forwarding_analysis", "report"}
 	if len(names) != len(want) {
@@ -49,6 +53,50 @@ func TestVerifyTextTraceSpansSequential(t *testing.T) {
 				prev.Name, prev.StartNS, end, cur.Name, cur.StartNS)
 		}
 	}
+}
+
+// TestVerifyTextTraceSRCChildSpans checks the cold SRC stage's child
+// spans: the policy compilation and the EPVP rounds each appear once,
+// right after the src span, inside its interval, one after the other,
+// together no longer than it.
+func TestVerifyTextTraceSRCChildSpans(t *testing.T) {
+	tracer := expresso.NewTracer()
+	opts := expresso.Options{Properties: []expresso.Kind{expresso.RouteLeakFree}, Trace: tracer}
+	v := expresso.NewVerifier(expresso.VerifierConfig{})
+	if _, _, err := v.VerifyText(context.Background(), netgen.CSP(netgen.CSPOldRegion(1)), opts); err != nil {
+		t.Fatal(err)
+	}
+	spans := tracer.Finish().Spans
+	at := -1
+	for i, sp := range spans {
+		if sp.Name == "src" {
+			at = i
+		}
+	}
+	if at < 0 || at+2 >= len(spans) {
+		t.Fatalf("no src span followed by two children in %+v", spans)
+	}
+	src, compile, rounds := spans[at], spans[at+1], spans[at+2]
+	if compile.Name != "src.compile" || rounds.Name != "src.rounds" {
+		t.Fatalf("src is followed by %q and %q, want src.compile and src.rounds", compile.Name, rounds.Name)
+	}
+	end := func(sp telemetry.Span) int64 { return sp.StartNS + sp.Duration }
+	for _, c := range []telemetry.Span{compile, rounds} {
+		if c.StartNS < src.StartNS || end(c) > end(src) {
+			t.Errorf("%s [%d, %d) lies outside src [%d, %d)", c.Name, c.StartNS, end(c), src.StartNS, end(src))
+		}
+		if telemetry.SpanParent(c.Name) != "src" {
+			t.Errorf("SpanParent(%q) = %q, want src", c.Name, telemetry.SpanParent(c.Name))
+		}
+	}
+	if end(compile) > rounds.StartNS {
+		t.Errorf("src.compile ends at %d, after src.rounds starts at %d", end(compile), rounds.StartNS)
+	}
+	if sum := compile.Duration + rounds.Duration; sum > src.Duration {
+		t.Errorf("children take %d ns, longer than src's %d ns", sum, src.Duration)
+	}
+	t.Logf("src %.1f ms: compile %.1f ms, rounds %.1f ms",
+		float64(src.Duration)/1e6, float64(compile.Duration)/1e6, float64(rounds.Duration)/1e6)
 }
 
 // TestVerifyTextTrace runs the staged verifier with a tracer attached and

@@ -65,9 +65,11 @@
 package bdd
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -1405,7 +1407,9 @@ func (m *Manager) Eval(n Node, assign map[int]bool) bool {
 }
 
 // Cube returns the conjunction of literals: vars[i] if values[i], else its
-// negation. Safe for concurrent use (hash-consing only).
+// negation, built bottom-up in level order with one mk per literal. vars
+// must be distinct: a repeated variable would build a non-canonical node.
+// Safe for concurrent use (hash-consing only).
 func (m *Manager) Cube(vars []int, values []bool) Node {
 	if len(vars) != len(values) {
 		panic("bdd: Cube length mismatch")
@@ -1416,8 +1420,8 @@ func (m *Manager) Cube(vars []int, values []bool) Node {
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		return m.var2level[vars[idx[a]]] > m.var2level[vars[idx[b]]]
+	slices.SortFunc(idx, func(a, b int) int {
+		return cmp.Compare(m.var2level[vars[b]], m.var2level[vars[a]])
 	})
 	for _, i := range idx {
 		lvl := m.var2level[vars[i]]

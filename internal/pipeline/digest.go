@@ -37,6 +37,14 @@ const (
 	StageReport     = "report"
 )
 
+// Child spans of the SRC stage in a trace: the policy compilation
+// (epvp.NewContext) and the EPVP rounds (RunContext) of a cold SRC. The
+// names match the benchmark's per-layer metrics.
+const (
+	SpanCompile = StageSRC + ".compile"
+	SpanRounds  = StageSRC + ".rounds"
+)
+
 // stageOrder is the canonical listing order for stats and metrics.
 var stageOrder = []string{StageLoad, StageSRC, StageRouting, StageSPF, StageForwarding, StageReport}
 

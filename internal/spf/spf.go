@@ -415,17 +415,15 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 }
 
 // destPredicate is the packet-destination predicate of a concrete prefix:
-// the high Len bits fixed, host bits free.
+// the high Len bits fixed, host bits free — one bottom-up cube.
 func (r *Result) destPredicate(sp *symbolic.Space, p route.Prefix) bdd.Node {
-	n := bdd.True
-	for b := 0; b < int(p.Len); b++ {
-		if p.Addr&(1<<(31-b)) != 0 {
-			n = sp.W.And(n, sp.M.Var(b))
-		} else {
-			n = sp.W.And(n, sp.M.NVar(b))
-		}
+	vars := make([]int, p.Len)
+	vals := make([]bool, p.Len)
+	for b := range vars {
+		vars[b] = b
+		vals[b] = p.Addr&(1<<(31-b)) != 0
 	}
-	return n
+	return sp.M.Cube(vars, vals)
 }
 
 // DestPredicate exposes destPredicate for property checks.

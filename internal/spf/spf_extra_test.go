@@ -93,3 +93,25 @@ func TestExternalInjectionSharesInternalTree(t *testing.T) {
 	}
 	_ = eng
 }
+
+// TestDestPredicateIsPrefixCube checks the one-call destination cube
+// against the literal-by-literal conjunction: the same node for /0, a
+// mid-length prefix and a host route.
+func TestDestPredicateIsPrefixCube(t *testing.T) {
+	eng, _, dp := runPipeline(t, testnet.Figure4)
+	sp := eng.Space
+	for _, s := range []string{"0.0.0.0/0", "10.16.0.0/12", "192.168.1.7/32"} {
+		p := route.MustParsePrefix(s)
+		want := bdd.True
+		for b := 0; b < int(p.Len); b++ {
+			if p.Addr&(1<<(31-b)) != 0 {
+				want = sp.W.And(want, sp.M.Var(b))
+			} else {
+				want = sp.W.And(want, sp.M.NVar(b))
+			}
+		}
+		if got := dp.DestPredicate(p); got != want {
+			t.Errorf("DestPredicate(%s) = node %d, chained And builds %d", s, got, want)
+		}
+	}
+}

@@ -169,25 +169,51 @@ func (s *Space) LenCube(l int) bdd.Node { return s.lenCubes[l] }
 func (s *Space) computeValid() bdd.Node {
 	terms := make([]bdd.Node, 0, 33)
 	for l := 0; l <= 32; l++ {
-		t := s.lenCubes[l]
-		for b := l; b < AddrBits; b++ {
-			t = s.W.And(t, s.M.NVar(s.addrVars[b]))
-		}
-		terms = append(terms, t)
+		terms = append(terms, s.prefixCube(0, 0, l))
 	}
 	return s.W.Or(terms...)
+}
+
+// prefixCube returns the cube "length == l, address bits 0..k-1 equal
+// addr's, every address bit at or past l zero", built bottom-up by one
+// Manager.Cube call instead of a chain of And operations, each of which
+// would copy the partial chain. When k > l and addr has a 1-bit in
+// [l, k), the spec's bits and the canonical zero suffix conflict and the
+// cube is False; every variable is passed to Cube at most once, since a
+// repeated variable would make it build a non-canonical node.
+func (s *Space) prefixCube(addr uint32, k, l int) bdd.Node {
+	vars := make([]int, 0, LenBits+AddrBits)
+	vals := make([]bool, 0, LenBits+AddrBits)
+	for b := 0; b < LenBits; b++ {
+		vars = append(vars, s.lenVars[b])
+		vals = append(vals, l&(1<<(LenBits-1-b)) != 0)
+	}
+	for b := 0; b < AddrBits; b++ {
+		bit := addr&(1<<(31-b)) != 0
+		switch {
+		case b >= l:
+			if b < k && bit {
+				return bdd.False
+			}
+			vars = append(vars, s.addrVars[b])
+			vals = append(vals, false)
+		case b < k:
+			vars = append(vars, s.addrVars[b])
+			vals = append(vals, bit)
+		}
+	}
+	return s.M.Cube(vars, vals)
 }
 
 // Valid returns the canonical-prefix predicate (the universe of all
 // 2^33 - 1 prefixes).
 func (s *Space) Valid() bdd.Node { return s.valid }
 
-// PrefixBDD returns the predicate identifying exactly prefix p.
+// PrefixBDD returns the predicate identifying exactly prefix p. A
+// non-canonical p (address bits set at or past its length) identifies no
+// prefix: False.
 func (s *Space) PrefixBDD(p route.Prefix) bdd.Node {
-	return s.W.And(
-		s.M.UintCube(s.addrVars, uint64(p.Addr)),
-		s.lenCubes[p.Len],
-	)
+	return s.prefixCube(p.Addr, AddrBits, int(p.Len))
 }
 
 // PrefixesBDD returns the union of PrefixBDD over ps. The union is built
@@ -223,26 +249,14 @@ func (s *Space) PrefixesBDD(ps []route.Prefix) bdd.Node {
 }
 
 // PrefixMatchBDD returns the predicate for an if-match prefix spec: all
-// canonical prefixes inside m.Prefix with length in [m.GE, m.LE].
+// canonical prefixes inside m.Prefix with length in [m.GE, m.LE], one
+// prefix cube per length. The parser rejects GE below the prefix length;
+// a spec built in code with one contributes no prefixes at the lengths
+// where the spec's address has 1-bits past them.
 func (s *Space) PrefixMatchBDD(m config.PrefixMatch) bdd.Node {
-	// High m.Prefix.Len bits fixed to the spec's address.
-	high := bdd.True
-	for b := 0; b < int(m.Prefix.Len); b++ {
-		bit := m.Prefix.Addr&(1<<(31-b)) != 0
-		if bit {
-			high = s.W.And(high, s.M.Var(s.addrVars[b]))
-		} else {
-			high = s.W.And(high, s.M.NVar(s.addrVars[b]))
-		}
-	}
 	terms := make([]bdd.Node, 0, int(m.LE)-int(m.GE)+1)
 	for l := int(m.GE); l <= int(m.LE); l++ {
-		t := s.W.And(high, s.lenCubes[l])
-		// Canonical form: bits at or below the length are zero.
-		for b := l; b < AddrBits; b++ {
-			t = s.W.And(t, s.M.NVar(s.addrVars[b]))
-		}
-		terms = append(terms, t)
+		terms = append(terms, s.prefixCube(m.Prefix.Addr, int(m.Prefix.Len), l))
 	}
 	return s.W.Or(terms...)
 }

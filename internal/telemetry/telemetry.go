@@ -32,6 +32,8 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -45,7 +47,9 @@ const SchemaVersion = "expresso-trace/1"
 // cache provenance (hit, miss, or warm — empty for untracked work), the
 // stage key it was resolved under, and wall-clock timing. StartNS is the
 // offset from the trace's Start time, so spans reconstruct the run's
-// timeline without absolute clocks.
+// timeline without absolute clocks. A child span times one part of a
+// stage; its name is the stage's, a dot, and the part's ("src.compile"
+// lies inside "src").
 type Span struct {
 	Name   string `json:"name"`
 	Status string `json:"status,omitempty"`
@@ -56,6 +60,15 @@ type Span struct {
 	Note     string `json:"note,omitempty"`
 	StartNS  int64  `json:"start_ns"`
 	Duration int64  `json:"duration_ns"`
+}
+
+// SpanParent returns the name of the span a child span named name lies
+// inside, or "" for a stage span.
+func SpanParent(name string) string {
+	if i := strings.LastIndexByte(name, '.'); i >= 0 {
+		return name[:i]
+	}
+	return ""
 }
 
 // RoundEvent records one EPVP synchronous round (§4 of the paper): how
@@ -300,6 +313,9 @@ func (t *Tracer) Coalesce(ev CoalesceEvent) {
 // Finish freezes the recording and returns the trace (nil for a nil
 // tracer). The trace's total duration is stamped on the first call;
 // recording after Finish is permitted but normally everything is done.
+// Spans are put in timeline order: by start, an enclosing span before
+// the spans it contains (child spans are recorded while their stage
+// runs, stage spans once it has finished).
 // The returned Trace shares the tracer's slices, so callers must not keep
 // recording into the tracer while mutating the result.
 func (t *Tracer) Finish() *Trace {
@@ -311,6 +327,13 @@ func (t *Tracer) Finish() *Trace {
 	if t.trace.Duration == 0 {
 		t.trace.Duration = time.Since(t.start).Nanoseconds()
 	}
+	sort.SliceStable(t.trace.Spans, func(i, j int) bool {
+		a, b := t.trace.Spans[i], t.trace.Spans[j]
+		if a.StartNS != b.StartNS {
+			return a.StartNS < b.StartNS
+		}
+		return a.Duration > b.Duration
+	})
 	tr := t.trace
 	return &tr
 }

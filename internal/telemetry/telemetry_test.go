@@ -86,6 +86,29 @@ func TestTracerRecords(t *testing.T) {
 	}
 }
 
+// TestFinishOrdersChildSpans checks that a child span recorded while its
+// stage ran comes out after that stage and before the next one.
+func TestFinishOrdersChildSpans(t *testing.T) {
+	tr := NewTracer()
+	t0 := time.Now()
+	tr.Span("src.compile", "", "", "", "", t0.Add(time.Millisecond), 2*time.Millisecond)
+	tr.Span("src.rounds", "", "", "", "", t0.Add(3*time.Millisecond), time.Millisecond)
+	tr.Span("src", "miss", "k", "", "", t0, 5*time.Millisecond)
+	tr.Span("spf", "miss", "k", "", "", t0.Add(5*time.Millisecond), time.Millisecond)
+	var names []string
+	for _, sp := range tr.Finish().Spans {
+		names = append(names, sp.Name)
+	}
+	if got, want := strings.Join(names, " "), "src src.compile src.rounds spf"; got != want {
+		t.Errorf("span order = %q, want %q", got, want)
+	}
+	for name, parent := range map[string]string{"src": "", "src.compile": "src", "a.b.c": "a.b"} {
+		if got := SpanParent(name); got != parent {
+			t.Errorf("SpanParent(%q) = %q, want %q", name, got, parent)
+		}
+	}
+}
+
 // TestTracerConcurrent exercises concurrent recording (SPF fans events
 // out from worker goroutines); run under -race this checks the locking.
 func TestTracerConcurrent(t *testing.T) {

@@ -56,9 +56,13 @@ func Summarize(w io.Writer, tr *telemetry.Trace) {
 	if tr.Mode != "" {
 		fmt.Fprintf(w, "mode %s  options %s\n", tr.Mode, tr.Options)
 	}
+	// Shares are of the stage total: a child span's time is already in
+	// its stage's.
 	var spanTotal int64
 	for _, sp := range tr.Spans {
-		spanTotal += sp.Duration
+		if telemetry.SpanParent(sp.Name) == "" {
+			spanTotal += sp.Duration
+		}
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "STAGE\tSTATUS\tSEED\tNOTE\tDURATION\tSHARE")
@@ -154,7 +158,9 @@ type DiffReport struct {
 	// side zeroed.
 	Rounds []RoundDelta `json:"rounds,omitempty"`
 	// Worst names the regressed stage with the largest absolute slowdown
-	// ("" when nothing regressed); Regressed is the exit-1 signal.
+	// or, when child spans of that stage regressed too, the child with
+	// the largest ("" when nothing regressed); Regressed is the exit-1
+	// signal.
 	Worst     string `json:"worst,omitempty"`
 	Regressed bool   `json:"regressed"`
 	// PeakDelta is the watermark peak-live-node change (new - old) when
@@ -223,6 +229,15 @@ func Diff(oldTr, newTr *telemetry.Trace, threshold float64) *DiffReport {
 			}
 		}
 		rep.Stages = append(rep.Stages, d)
+	}
+	// A regressed child span of the worst stage names its guilty part.
+	if stage := rep.Worst; stage != "" {
+		var childDelta int64
+		for _, d := range rep.Stages {
+			if d.Regressed && telemetry.SpanParent(d.Stage) == stage && d.DeltaNS > childDelta {
+				rep.Worst, childDelta = d.Stage, d.DeltaNS
+			}
+		}
 	}
 	rounds := len(oldTr.EPVPRounds)
 	if len(newTr.EPVPRounds) > rounds {

@@ -141,3 +141,30 @@ func TestTopWithoutWatermarkErrors(t *testing.T) {
 		t.Fatal("want error for a trace without a watermark section")
 	}
 }
+
+func TestDiffNarrowsToChildSpan(t *testing.T) {
+	old := trace(span("src", "miss", 200), span("src.compile", "", 100), span("src.rounds", "", 90), span("spf", "miss", 100))
+	niw := trace(span("src", "miss", 400), span("src.compile", "", 300), span("src.rounds", "", 90), span("spf", "miss", 100))
+	rep := Diff(old, niw, 0.25)
+	if !rep.Regressed || rep.Worst != "src.compile" {
+		t.Fatalf("want the regression narrowed to src.compile, got worst=%q regressed=%v", rep.Worst, rep.Regressed)
+	}
+	for _, d := range rep.Stages {
+		if want := d.Stage == "src" || d.Stage == "src.compile"; d.Regressed != want {
+			t.Errorf("stage %s regressed=%v, want %v", d.Stage, d.Regressed, want)
+		}
+	}
+}
+
+func TestSummarizeSharesExcludeChildSpans(t *testing.T) {
+	tr := &telemetry.Trace{Schema: telemetry.SchemaVersion, Spans: []telemetry.Span{
+		span("src", "miss", 80), span("src.compile", "", 60), span("spf", "miss", 20),
+	}}
+	var buf strings.Builder
+	Summarize(&buf, tr)
+	for _, want := range []string{"80.0%", "60.0%", "20.0%"} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("summary lacks share %s (shares are of the stage total):\n%s", want, buf.String())
+		}
+	}
+}
