@@ -55,10 +55,11 @@ race-service:
 # reports across fixtures, worker counts, and forced reclamation sweeps),
 # the shared-directory replica scenario, corruption/version-mismatch
 # injection, and the memory-eviction interaction — plus the store and
-# codec unit tests (framing, LRU eviction, tmp sweep, import fuzz seeds).
+# codec unit tests (framing, LRU eviction, tmp sweep, the import and
+# artifact-decoder fuzz seeds).
 store-check:
 	$(GO) test . -run 'TestStore' -count=1 -timeout 15m
-	$(GO) test -count=1 ./internal/store/ ./internal/bdd/ ./internal/automaton/
+	$(GO) test -count=1 ./internal/store/ ./internal/bdd/ ./internal/automaton/ ./internal/pipeline/
 
 # Tracing cost on region 1: the tier-2 overhead assertion (traced vs
 # untraced verifications, min-of-3 interleaved, < 5%). The test skips

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/expresso-verify/expresso/internal/netgen"
+	"github.com/expresso-verify/expresso/internal/pipeline"
 	"github.com/expresso-verify/expresso/internal/store"
 	"github.com/expresso-verify/expresso/internal/testnet"
 )
@@ -212,42 +213,49 @@ func TestStoreCorruptBlobsRecomputeSilently(t *testing.T) {
 	}
 }
 
-// TestStoreVersionMismatchRecomputes rewrites every blob with a bumped
+// TestStoreVersionMismatchRecomputes rewrites every blob with another
 // codec version (valid frame, unknown payload format) — the decoder must
-// reject it and the pipeline recompute, again without an error.
+// reject it and the pipeline recompute, again without an error. The
+// previous version stands for a store written before the last bump: its
+// blobs must be silent misses, never decoded onto the current layout.
 func TestStoreVersionMismatchRecomputes(t *testing.T) {
 	ctx := context.Background()
 	cfg := testnet.Figure4
 	opts := Options{Workers: 1, Properties: storeProps}
 	want := scratchReport(t, cfg, opts)
-	dir := t.TempDir()
 
-	if _, _, err := NewVerifier(VerifierConfig{StoreDir: dir}).VerifyText(ctx, cfg, opts); err != nil {
-		t.Fatal(err)
-	}
-	mutateBlobs(t, dir, func(b []byte) []byte {
-		payload, ok := store.Unframe(b)
-		if !ok {
-			t.Fatal("stored blob does not unframe")
-		}
-		// Payload layout is 4-byte magic then a uvarint codec version;
-		// 0x7f is a future version in one byte.
-		payload = append([]byte(nil), payload...)
-		payload[4] = 0x7f
-		return store.Frame(payload)
-	})
+	// Payload layout is 4-byte magic then a uvarint codec version; both
+	// versions fit in one byte. 0x7f is a future version; the previous
+	// version is what a store written before the last bump holds.
+	for _, version := range []byte{0x7f, pipeline.CodecVersion - 1} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			dir := t.TempDir()
+			if _, _, err := NewVerifier(VerifierConfig{StoreDir: dir}).VerifyText(ctx, cfg, opts); err != nil {
+				t.Fatal(err)
+			}
+			mutateBlobs(t, dir, func(b []byte) []byte {
+				payload, ok := store.Unframe(b)
+				if !ok {
+					t.Fatal("stored blob does not unframe")
+				}
+				payload = append([]byte(nil), payload...)
+				payload[4] = version
+				return store.Frame(payload)
+			})
 
-	rep, info, err := NewVerifier(VerifierConfig{StoreDir: dir}).VerifyText(ctx, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, stage := range persistedStages {
-		if s := stageStatus(info, stage); s != StageMiss {
-			t.Errorf("stage %s over version-mismatched store = %q, want %q", stage, s, StageMiss)
-		}
-	}
-	if got := normalizedJSON(t, rep); got != want {
-		t.Errorf("report over version-mismatched store differs from scratch")
+			rep, info, err := NewVerifier(VerifierConfig{StoreDir: dir}).VerifyText(ctx, cfg, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, stage := range persistedStages {
+				if s := stageStatus(info, stage); s != StageMiss {
+					t.Errorf("stage %s over a version-%d store = %q, want %q", stage, version, s, StageMiss)
+				}
+			}
+			if got := normalizedJSON(t, rep); got != want {
+				t.Errorf("report over a version-%d store differs from scratch", version)
+			}
+		})
 	}
 }
 

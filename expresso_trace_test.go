@@ -99,6 +99,53 @@ func TestVerifyTextTraceSRCChildSpans(t *testing.T) {
 		float64(src.Duration)/1e6, float64(compile.Duration)/1e6, float64(rounds.Duration)/1e6)
 }
 
+// TestVerifyTextTraceSPFChildSpans checks the SPF stage's child spans on
+// region 1: the FIB build, the packet traversals and the PEC coalescing
+// each appear once, right after the spf span, inside its interval, one
+// after the other, and together they account for at least 90% of it.
+func TestVerifyTextTraceSPFChildSpans(t *testing.T) {
+	tracer := expresso.NewTracer()
+	opts := expresso.Options{Properties: []expresso.Kind{expresso.BlackHoleFree}, Trace: tracer}
+	v := expresso.NewVerifier(expresso.VerifierConfig{})
+	if _, _, err := v.VerifyText(context.Background(), netgen.CSP(netgen.CSPOldRegion(1)), opts); err != nil {
+		t.Fatal(err)
+	}
+	spans := tracer.Finish().Spans
+	at := -1
+	for i, sp := range spans {
+		if sp.Name == "spf" {
+			at = i
+		}
+	}
+	want := []string{"spf.fib", "spf.forward", "spf.coalesce"}
+	if at < 0 || at+len(want) >= len(spans) {
+		t.Fatalf("no spf span followed by %d children in %+v", len(want), spans)
+	}
+	stage, children := spans[at], spans[at+1:at+1+len(want)]
+	end := func(sp telemetry.Span) int64 { return sp.StartNS + sp.Duration }
+	var sum int64
+	for i, c := range children {
+		if c.Name != want[i] {
+			t.Fatalf("child %d of spf is %q, want %q", i, c.Name, want[i])
+		}
+		if telemetry.SpanParent(c.Name) != "spf" {
+			t.Errorf("SpanParent(%q) = %q, want spf", c.Name, telemetry.SpanParent(c.Name))
+		}
+		if c.StartNS < stage.StartNS || end(c) > end(stage) {
+			t.Errorf("%s [%d, %d) lies outside spf [%d, %d)", c.Name, c.StartNS, end(c), stage.StartNS, end(stage))
+		}
+		if i > 0 && end(children[i-1]) > c.StartNS {
+			t.Errorf("%s ends at %d, after %s starts at %d", children[i-1].Name, end(children[i-1]), c.Name, c.StartNS)
+		}
+		sum += c.Duration
+	}
+	if sum*10 < stage.Duration*9 {
+		t.Errorf("children cover %d of spf's %d ns, under 90%%", sum, stage.Duration)
+	}
+	t.Logf("spf %.1f ms: fib %.1f ms, forward %.1f ms, coalesce %.1f ms", float64(stage.Duration)/1e6,
+		float64(children[0].Duration)/1e6, float64(children[1].Duration)/1e6, float64(children[2].Duration)/1e6)
+}
+
 // TestVerifyTextTrace runs the staged verifier with a tracer attached and
 // checks the trace covers the whole run: one span per pipeline stage,
 // exactly one round event per EPVP iteration, per-router SPF events, and

@@ -26,15 +26,21 @@ import (
 	"github.com/expresso-verify/expresso/internal/symbolic"
 )
 
-// Payload magics and version. The store's envelope already carries a CRC
-// and a framing version; this version tracks the artifact schemas, so a
-// schema change reads as a decode error (= miss) for older blobs.
+// Payload magics. The store's envelope already carries a CRC and a
+// framing version.
 const (
 	srcMagic      = "XSRC"
 	analysisMagic = "XANL"
 	spfMagic      = "XSPF"
-	codecVersion  = 1
 )
+
+// CodecVersion tracks the artifact schemas and the variable layout their
+// predicates are stored in, so a change to either reads as a decode error
+// (= miss) for older blobs. Version 2 put the data-plane variables longest
+// prefix length first (spf's dataVar); XSPF and XANL blobs name those
+// variables by index, so a version-1 blob would decode onto the wrong
+// ones.
+const CodecVersion = 2
 
 // enc is an append-only payload writer.
 type enc struct{ buf []byte }
@@ -145,7 +151,7 @@ func (d *dec) magic(m string) error {
 	if err != nil {
 		return err
 	}
-	if v != codecVersion {
+	if v != CodecVersion {
 		return fmt.Errorf("pipeline: codec: unsupported version %d", v)
 	}
 	return nil
@@ -195,7 +201,7 @@ func (c *rootCollector) add(n bdd.Node) uint64 {
 func EncodeSRC(a *SRCArtifact) []byte {
 	e := &enc{}
 	e.buf = append(e.buf, srcMagic...)
-	e.u(codecVersion)
+	e.u(CodecVersion)
 	e.b(a.Res.Converged)
 	e.u(uint64(a.Res.Iterations))
 	e.u(uint64(a.Workers))
@@ -470,7 +476,7 @@ func DecodeSRC(eng *epvp.Engine, load *LoadArtifact, key string, data []byte) (*
 func EncodeAnalysis(a *AnalysisArtifact, m *bdd.Manager, varBase int) []byte {
 	e := &enc{}
 	e.buf = append(e.buf, analysisMagic...)
-	e.u(codecVersion)
+	e.u(CodecVersion)
 	e.u(uint64(varBase))
 	roots := newRootCollector()
 	e.u(uint64(len(a.Violations)))
@@ -582,7 +588,7 @@ func DecodeAnalysis(m *bdd.Manager, key string, varBase int, data []byte) (*Anal
 func EncodeSPF(a *SPFArtifact, m *bdd.Manager) []byte {
 	e := &enc{}
 	e.buf = append(e.buf, spfMagic...)
-	e.u(codecVersion)
+	e.u(CodecVersion)
 	e.u(uint64(a.Res.VarBase()))
 	roots := newRootCollector()
 

@@ -158,11 +158,21 @@ func RunContext(ctx context.Context, eng *epvp.Engine, cp *epvp.Result) (*Result
 	return RunTraced(ctx, eng, cp, nil)
 }
 
+// Child spans of the SPF stage in a trace, in the order they run: the
+// per-router FIB build, the symbolic packet traversals, and the PEC
+// coalescing that also derives the external injections.
+const (
+	SpanFIB      = "spf.fib"
+	SpanForward  = "spf.forward"
+	SpanCoalesce = "spf.coalesce"
+)
+
 // RunTraced is RunContext with a run-scoped tracer attached: it records
-// one telemetry.FIBEvent per router's FIB compilation, one ForwardEvent
-// per injection point's traversal, and the PEC-coalescing pass sizes. A
-// nil tracer is the zero-overhead disabled path (RunContext delegates
-// here with nil).
+// the SpanFIB, SpanForward and SpanCoalesce child spans, one
+// telemetry.FIBEvent per router's FIB compilation, one ForwardEvent per
+// injection point's traversal, and the PEC-coalescing pass sizes. A nil
+// tracer is the zero-overhead disabled path (RunContext delegates here
+// with nil).
 func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telemetry.Tracer) (*Result, error) {
 	r := &Result{
 		FIBs:                map[string]*FIB{},
@@ -177,7 +187,11 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// variables of different neighbors at the same prefix length are
 	// adjacent in the BDD ordering. FIB predicates union terms of the form
 	// (conditions over same-length variables) across lengths; a
-	// neighbor-major order would make those unions exponential.
+	// neighbor-major order would make those unions exponential. The
+	// longest length comes first (dataVar), the order in which
+	// longest-prefix match decides, so compileFIB can fold each router's
+	// groups in from the lowest priority without carrying the best port so
+	// far down through every length below.
 	n := len(eng.Net.Externals)
 	r.varBase = eng.Space.M.AddVars(33 * n)
 	workers := eng.WorkerCount()
@@ -187,6 +201,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 	// reduction below assembles the map in router order.
 	internals := eng.Net.Internals
 	fibs := make([]*FIB, len(internals))
+	phase := time.Now()
 	err := r.each(workers, len(internals), func(sp *symbolic.Space, i int) {
 		start := time.Time{}
 		if r.trace.Enabled() {
@@ -202,6 +217,7 @@ func RunTraced(ctx context.Context, eng *epvp.Engine, cp *epvp.Result, tr *telem
 			})
 		}
 	})
+	tr.Span(SpanFIB, "", "", "", "", phase, time.Since(phase))
 	if err != nil {
 		return nil, err
 	}
@@ -262,9 +278,11 @@ func (r *Result) each(workers, n int, fn func(sp *symbolic.Space, i int)) error 
 }
 
 // dataVar returns the data-plane advertiser variable n_i^l for neighbor
-// index i and prefix length l.
+// index i and prefix length l. The block is length-major with the longest
+// length first: /32 variables on top, /0 at the bottom, the neighbors of
+// one length adjacent in neighbor order.
 func (r *Result) dataVar(i, l int) int {
-	return r.varBase + l*len(r.eng.Net.Externals) + i
+	return r.varBase + (32-l)*len(r.eng.Net.Externals) + i
 }
 
 // DataVar exposes the n_i^l variable for property checks and tests.
@@ -345,7 +363,12 @@ func (r *Result) convertU(sp *symbolic.Space, u bdd.Node) []convEntry {
 // and connected routes, then computes effective per-port predicates under
 // longest-prefix-match and administrative-distance priority.
 func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *FIB {
-	s := sp
+	return compileFIB(sp.W, r.fibEntries(sp, v, rib))
+}
+
+// fibEntries lists the router's symbolic forwarding rules: its converted
+// BGP RIB, then its static routes, then its connected prefixes.
+func (r *Result) fibEntries(sp *symbolic.Space, v string, rib []*symbolic.Route) []fibEntry {
 	d := r.eng.Net.Devices[v]
 	var entries []fibEntry
 	for _, sr := range rib {
@@ -367,50 +390,72 @@ func (r *Result) buildFIB(sp *symbolic.Space, v string, rib []*symbolic.Route) *
 			port:   "", // deliver locally
 		})
 	}
-	// Priority: longer prefix first; lower admin distance first within a
-	// length. Ties (ECMP) share priority and do not shadow each other.
+	return entries
+}
+
+// compileFIB applies forwarding priority to a router's entries: a longer
+// prefix beats a shorter one, and within a length a lower administrative
+// distance wins. Entries of equal length and distance form one priority
+// group; ties inside a group (ECMP) do not shadow each other.
+//
+// The groups are folded in from the lowest priority to the highest. Each
+// new group first removes its union from every port's accumulated
+// predicate, then adds its own per-port matches. The result is the same
+// as subtracting from each group everything of higher priority, but the
+// data-plane variables put the longest length on top (dataVar), so each
+// new group's variables sit above everything already accumulated and the
+// apply recursion reaches its terminal cases right under them.
+func compileFIB(w *bdd.Worker, entries []fibEntry) *FIB {
 	sort.SliceStable(entries, func(i, j int) bool {
 		if entries[i].length != entries[j].length {
-			return entries[i].length > entries[j].length
+			return entries[i].length < entries[j].length
 		}
-		return entries[i].admin < entries[j].admin
+		return entries[i].admin > entries[j].admin
 	})
-	fib := &FIB{PortPred: map[string]bdd.Node{}, Arrive: bdd.False, Entries: len(entries)}
+	acc := map[string]bdd.Node{} // port -> packets forwarded there; "" = delivered
+	var ports []string           // acc's keys in first-seen order
 	covered := bdd.False
-	i := 0
-	for i < len(entries) {
+	for i := 0; i < len(entries); {
 		j := i
 		for j < len(entries) && entries[j].length == entries[i].length && entries[j].admin == entries[i].admin {
 			j++
 		}
-		// Union the group's matches per port first, then subtract the
-		// higher-priority coverage once per port (not once per entry).
 		perPort := map[string]bdd.Node{}
-		var order []string
-		for k := i; k < j; k++ {
-			if _, ok := perPort[entries[k].port]; !ok {
-				order = append(order, entries[k].port)
+		var groupPorts []string
+		for _, e := range entries[i:j] {
+			if _, ok := perPort[e.port]; !ok {
+				groupPorts = append(groupPorts, e.port)
 			}
-			perPort[entries[k].port] = s.W.Or(perPort[entries[k].port], entries[k].match)
+			perPort[e.port] = w.Or(perPort[e.port], e.match)
 		}
-		groupUnion := bdd.False
-		for _, port := range order {
-			match := perPort[port]
-			groupUnion = s.W.Or(groupUnion, match)
-			eff := s.W.Diff(match, covered)
-			if eff == bdd.False {
-				continue
-			}
-			if port == "" {
-				fib.Arrive = s.W.Or(fib.Arrive, eff)
-			} else {
-				fib.PortPred[port] = s.W.Or(fib.PortPred[port], eff)
+		union := bdd.False
+		for _, port := range groupPorts {
+			union = w.Or(union, perPort[port])
+		}
+		for _, port := range ports {
+			if a := acc[port]; a != bdd.False {
+				acc[port] = w.Diff(a, union)
 			}
 		}
-		covered = s.W.Or(covered, groupUnion)
+		for _, port := range groupPorts {
+			if _, seen := acc[port]; !seen {
+				ports = append(ports, port)
+			}
+			acc[port] = w.Or(acc[port], perPort[port])
+		}
+		covered = w.Or(covered, union)
 		i = j
 	}
-	fib.BlackHole = s.W.Not(covered)
+	fib := &FIB{PortPred: map[string]bdd.Node{}, Arrive: bdd.False, BlackHole: w.Not(covered), Entries: len(entries)}
+	for _, port := range ports {
+		switch a := acc[port]; {
+		case a == bdd.False:
+		case port == "":
+			fib.Arrive = a
+		default:
+			fib.PortPred[port] = a
+		}
+	}
 	return fib
 }
 
@@ -443,6 +488,7 @@ func (r *Result) forwardAll(workers int) error {
 	// the final list is independent of scheduling.
 	internals := r.eng.Net.Internals
 	perStart := make([][]*PEC, len(internals))
+	phase := time.Now()
 	err := r.each(workers, len(internals), func(sp *symbolic.Space, i int) {
 		start := time.Time{}
 		if r.trace.Enabled() {
@@ -459,9 +505,11 @@ func (r *Result) forwardAll(workers int) error {
 			})
 		}
 	})
+	r.trace.Span(SpanForward, "", "", "", "", phase, time.Since(phase))
 	if err != nil {
 		return err
 	}
+	phase = time.Now()
 	for _, out := range perStart {
 		r.PECs = append(r.PECs, out...)
 	}
@@ -491,6 +539,7 @@ func (r *Result) forwardAll(workers int) error {
 	if r.trace.Enabled() {
 		r.trace.Coalesce(telemetry.CoalesceEvent{Phase: "external", Raw: raw, Coalesced: len(r.PECs)})
 	}
+	r.trace.Span(SpanCoalesce, "", "", "", "", phase, time.Since(phase))
 	return nil
 }
 
